@@ -690,26 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs_events = obs_sub.add_parser(
         "events", help="read the structured event stream (one JSON per line)"
     )
-    p_obs_events.add_argument(
-        "--url", default="http://127.0.0.1:8787", help=url_help
-    )
-    p_obs_events.add_argument(
-        "--since", type=int, default=0, help="start cursor (default: 0)"
-    )
-    p_obs_events.add_argument(
-        "--limit", type=int, default=500, help="events per page (default: 500)"
-    )
-    p_obs_events.add_argument(
-        "--follow",
-        action="store_true",
-        help="keep polling for new events until interrupted",
-    )
-    p_obs_events.add_argument(
-        "--interval",
-        type=float,
-        default=1.0,
-        help="--follow poll interval in seconds (default: 1)",
-    )
+    _add_event_stream_options(p_obs_events, url_help)
     p_obs_fleet_metrics = obs_sub.add_parser(
         "fleet-metrics",
         help="scrape the fleet-aggregated /v1/fleet/metrics view "
@@ -727,26 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet-events",
         help="read the merged worker event stream (worker= provenance)",
     )
-    p_obs_fleet_events.add_argument(
-        "--url", default="http://127.0.0.1:8787", help=url_help
-    )
-    p_obs_fleet_events.add_argument(
-        "--since", type=int, default=0, help="start cursor (default: 0)"
-    )
-    p_obs_fleet_events.add_argument(
-        "--limit", type=int, default=500, help="events per page (default: 500)"
-    )
-    p_obs_fleet_events.add_argument(
-        "--follow",
-        action="store_true",
-        help="keep polling for new events until interrupted",
-    )
-    p_obs_fleet_events.add_argument(
-        "--interval",
-        type=float,
-        default=1.0,
-        help="--follow poll interval in seconds (default: 1)",
-    )
+    _add_event_stream_options(p_obs_fleet_events, url_help)
     p_obs_trace = obs_sub.add_parser(
         "trace",
         help="reconstruct a span tree from a running service "
@@ -779,6 +741,32 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the aggregated per-stage profile instead of the tree",
     )
     return parser
+
+
+def _add_event_stream_options(
+    parser: argparse.ArgumentParser, url_help: str
+) -> None:
+    """The options of a command that reads one cursor-paged event stream."""
+    parser.add_argument(
+        "--url", default="http://127.0.0.1:8787", help=url_help
+    )
+    parser.add_argument(
+        "--since", type=int, default=0, help="start cursor (default: 0)"
+    )
+    parser.add_argument(
+        "--limit", type=int, default=500, help="events per page (default: 500)"
+    )
+    parser.add_argument(
+        "--follow",
+        action="store_true",
+        help="keep polling for new events until interrupted",
+    )
+    parser.add_argument(
+        "--interval",
+        type=float,
+        default=1.0,
+        help="--follow poll interval in seconds (default: 1)",
+    )
 
 
 def _add_metrics_out_option(parser: argparse.ArgumentParser) -> None:
@@ -1734,8 +1722,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     if args.obs_command == "trace":
         return _obs_trace(client, args)
     if args.obs_command == "fleet-events":
-        return _obs_events(client, args, fetch=client.fleet_events)
-    return _obs_events(client, args, fetch=client.events)
+        return _obs_events(args, client.fleet_events)
+    return _obs_events(args, client.events)
 
 
 def _obs_trace(client: ServiceClient, args: argparse.Namespace) -> int:
@@ -1768,13 +1756,9 @@ def _obs_trace(client: ServiceClient, args: argparse.Namespace) -> int:
     return 0
 
 
-def _obs_events(
-    client: ServiceClient, args: argparse.Namespace, fetch: Any = None
-) -> int:
+def _obs_events(args: argparse.Namespace, fetch: Any) -> int:
     # Both event streams (/v1/events and /v1/fleet/events) share the
     # cursor-page protocol, so the follow loop is generic over *fetch*.
-    if fetch is None:
-        fetch = client.events
     cursor = args.since
     # In --follow mode one transient error (server restart, blip) is
     # retried after a delay; a second consecutive failure exits with

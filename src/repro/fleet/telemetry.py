@@ -94,7 +94,11 @@ def _state_value(state: Dict[str, Any], name: str) -> Optional[float]:
 
 
 class _WorkerView:
-    """Per-worker scrape state: absolute metrics, cursors, bookkeeping."""
+    """Per-worker scrape state: absolute metrics, cursors, bookkeeping.
+
+    ``cursor`` and ``ingested`` are keyed by stream (``events``,
+    ``spans``).
+    """
 
     __slots__ = (
         "state",
@@ -104,10 +108,8 @@ class _WorkerView:
         "last_error",
         "stale",
         "stale_since",
-        "events_cursor",
-        "spans_cursor",
-        "events_ingested",
-        "spans_ingested",
+        "cursor",
+        "ingested",
     )
 
     def __init__(self) -> None:
@@ -118,10 +120,8 @@ class _WorkerView:
         self.last_error = ""
         self.stale = False
         self.stale_since: Optional[float] = None
-        self.events_cursor = 0
-        self.spans_cursor = 0
-        self.events_ingested = 0
-        self.spans_ingested = 0
+        self.cursor = {"events": 0, "spans": 0}
+        self.ingested = {"events": 0, "spans": 0}
 
 
 class FleetTelemetry:
@@ -180,50 +180,47 @@ class FleetTelemetry:
             view.failures += 1
             view.last_error = error
 
-    def ingest_events(
-        self, worker_id: str, events: List[Dict[str, Any]], next_cursor: int
+    def _ingest(
+        self,
+        stream: str,
+        worker_id: str,
+        documents: List[Dict[str, Any]],
+        next_cursor: int,
     ) -> int:
-        """Fold one ``/v1/events`` page in; advances the resume cursor.
+        """Fold one cursor page of *stream* in; advances its cursor.
 
-        A page at or behind the stored cursor is dropped wholesale —
-        the regression guard for a scraper that restarted with stale
+        A record at or behind the stored cursor is dropped — the
+        regression guard for a scraper that restarted with stale
         in-thread state.  A *next_cursor* smaller than the stored one
         is adopted: the worker process restarted and its sequence
         space began again.
         """
+        log = self.events if stream == "events" else self.spans
         ingested = 0
         with self._lock:
-            view = self._view(worker_id)
-            cursor = view.events_cursor
-        for document in events:
+            cursor = self._view(worker_id).cursor[stream]
+        for document in documents:
             if int(document.get("seq", 0)) <= cursor and next_cursor >= cursor:
                 continue
-            if self.events.ingest(document, worker=worker_id) is not None:
+            if log.ingest(document, worker=worker_id) is not None:
                 ingested += 1
         with self._lock:
             view = self._view(worker_id)
-            view.events_cursor = next_cursor
-            view.events_ingested += ingested
+            view.cursor[stream] = next_cursor
+            view.ingested[stream] += ingested
         return ingested
+
+    def ingest_events(
+        self, worker_id: str, events: List[Dict[str, Any]], next_cursor: int
+    ) -> int:
+        """Fold one ``/v1/events`` page in; advances the resume cursor."""
+        return self._ingest("events", worker_id, events, next_cursor)
 
     def ingest_spans(
         self, worker_id: str, records: List[Dict[str, Any]], next_cursor: int
     ) -> int:
         """Fold one ``/v1/traces?since=`` page in; advances the cursor."""
-        ingested = 0
-        with self._lock:
-            view = self._view(worker_id)
-            cursor = view.spans_cursor
-        for record in records:
-            if int(record.get("seq", 0)) <= cursor and next_cursor >= cursor:
-                continue
-            if self.spans.ingest(record, worker=worker_id) is not None:
-                ingested += 1
-        with self._lock:
-            view = self._view(worker_id)
-            view.spans_cursor = next_cursor
-            view.spans_ingested += ingested
-        return ingested
+        return self._ingest("spans", worker_id, records, next_cursor)
 
     def cursors(self, worker_id: str) -> Tuple[int, int]:
         """The ``(events, spans)`` resume cursors for one worker."""
@@ -231,7 +228,7 @@ class FleetTelemetry:
             view = self._views.get(worker_id)
             if view is None:
                 return 0, 0
-            return view.events_cursor, view.spans_cursor
+            return view.cursor["events"], view.cursor["spans"]
 
     # ------------------------------------------------------------------
     # Staleness and expiry
@@ -351,20 +348,6 @@ class FleetTelemetry:
         """The fleet view in the ``?format=json`` shape."""
         return self.build_registry(inflight).snapshot()
 
-    def events_page(self, since: int = 0, limit: int = 500) -> Dict[str, Any]:
-        """The merged event journal in the ``/v1/events`` page shape."""
-        events, next_cursor = self.events.since(since, limit=limit)
-        return {
-            "since": since,
-            "next": next_cursor,
-            "events": [event.to_dict() for event in events],
-        }
-
-    def spans_page(self, since: int = 0, limit: int = 500) -> Dict[str, Any]:
-        """The merged span stream as a cursor page."""
-        records, next_cursor = self.spans.since(since, limit=limit)
-        return {"since": since, "next": next_cursor, "spans": records}
-
     def snapshot(self) -> Dict[str, Any]:
         """The ``telemetry`` section of ``Coordinator.snapshot()``."""
         now = time.monotonic()
@@ -383,10 +366,10 @@ class FleetTelemetry:
                     "last_error": view.last_error,
                     "stale": view.stale,
                     "rss_bytes": None if rss is None else int(rss),
-                    "events_cursor": view.events_cursor,
-                    "spans_cursor": view.spans_cursor,
-                    "events_ingested": view.events_ingested,
-                    "spans_ingested": view.spans_ingested,
+                    "events_cursor": view.cursor["events"],
+                    "spans_cursor": view.cursor["spans"],
+                    "events_ingested": view.ingested["events"],
+                    "spans_ingested": view.ingested["spans"],
                 }
         return {
             "stale_ttl_seconds": self.stale_ttl,

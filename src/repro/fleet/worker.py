@@ -39,14 +39,12 @@ which is what makes replays bit-identical.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 import uuid
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
-from urllib.parse import parse_qs, urlsplit
+from http.server import ThreadingHTTPServer
+from typing import Any, Dict, List, Optional, Tuple
 
 from .. import __version__
 from ..engine.batch import AnalysisRequest, BatchRunner
@@ -59,6 +57,7 @@ from ..obs import event_log as _obs_event_log
 from ..obs import registry as _obs_registry
 from ..obs import span as _obs_span
 from ..obs import span_log as _obs_span_log
+from ..service.api import ApiError, JsonRequestHandler, cursor_query
 from ..service.client import ServiceClient, ServiceError
 from .faults import FaultPlan
 from .shards import entries_from_wire
@@ -72,79 +71,35 @@ _SHARDS_EXECUTED = _obs_counter(
 )
 
 
-class _WorkerHandler(BaseHTTPRequestHandler):
+class _WorkerHandler(JsonRequestHandler):
     server_version = f"repro-edf-fleet/{__version__}"
-    protocol_version = "HTTP/1.1"
+    # Shard responses carry whole telemetry deltas: keep them compact.
+    json_indent = None
 
-    def log_message(self, format: str, *args: Any) -> None:
-        if not getattr(self.server, "quiet", True):  # pragma: no cover
-            super().log_message(format, *args)
-
-    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload, default=str).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
+    def dispatch(self, method: str, path: str) -> bool:
         worker: "FleetWorker" = self.server.worker  # type: ignore[attr-defined]
-        parts = urlsplit(self.path)
-        path = parts.path.rstrip("/")
-        query = parse_qs(parts.query)
-        if path == "/v1/health":
+        if method == "GET" and path == "/v1/health":
             self._send_json(200, worker.health())
-            return
-        if path in ("/v1/metrics", "/v1/events", "/v1/traces"):
-            try:
-                status, payload = worker.telemetry_get(path, query)
-            except ValueError as err:
-                self._send_json(400, {"error": str(err)})
-                return
+            return True
+        telemetry = ("/v1/metrics", "/v1/events", "/v1/traces")
+        if method == "GET" and path in telemetry:
+            status, payload = worker.telemetry_get(path, self.query)
             if isinstance(payload, str):
                 self._send_text(
                     status, payload, "text/plain; version=0.0.4; charset=utf-8"
                 )
             else:
                 self._send_json(status, payload)
-            return
-        self._send_json(404, {"error": f"no such endpoint: GET {path}"})
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        worker: "FleetWorker" = self.server.worker  # type: ignore[attr-defined]
-        path = self.path.split("?", 1)[0].rstrip("/")
-        if path != "/v1/fleet/shard":
-            self._send_json(404, {"error": f"no such endpoint: POST {path}"})
-            return
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length <= 0:
-            self._send_json(400, {"error": "a JSON shard body is required"})
-            return
-        try:
-            document = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as err:
-            self._send_json(400, {"error": f"invalid JSON body: {err}"})
-            return
-        try:
-            status, payload = worker.execute_shard(document)
-        except ValueError as err:
-            self._send_json(400, {"error": str(err)})
-            return
-        except BrokenPipeError:  # pragma: no cover - client went away
-            return
-        except Exception as err:  # pragma: no cover - defensive
-            self._send_json(500, {"error": f"{type(err).__name__}: {err}"})
-            return
-        self._send_json(status, payload)
+            return True
+        if method == "POST" and path == "/v1/fleet/shard":
+            document = self._read_json()
+            try:
+                status, payload = worker.execute_shard(document)
+            except ValueError as err:
+                raise ApiError(400, str(err)) from None
+            self._send_json(status, payload)
+            return True
+        return False
 
 
 class FleetWorker:
@@ -243,10 +198,8 @@ class FleetWorker:
     # Telemetry surface (what the coordinator's scraper pulls)
     # ------------------------------------------------------------------
 
-    _MAX_PAGE_LIMIT = 1000
-
     def telemetry_get(
-        self, path: str, query: Dict[str, Any]
+        self, path: str, query: Dict[str, List[str]]
     ) -> Tuple[int, Any]:
         """Serve one telemetry GET; returns ``(status, payload)``.
 
@@ -274,36 +227,11 @@ class FleetWorker:
                     "worker": self.id,
                     "state": _obs_registry().export_state(),
                 }
-            raise ValueError(
-                f"unknown format {fmt!r} (expected text, json, or state)"
+            raise ApiError(
+                400, f"unknown format {fmt!r} (expected text, json, or state)"
             )
-        since = self._query_int(query, "since", 0, minimum=0)
-        limit = self._query_int(query, "limit", 500, minimum=1)
-        limit = min(limit, self._MAX_PAGE_LIMIT)
-        if path == "/v1/events":
-            events, next_cursor = _obs_event_log().since(since, limit=limit)
-            return 200, {
-                "since": since,
-                "next": next_cursor,
-                "events": [event.to_dict() for event in events],
-            }
-        records, next_cursor = _obs_span_log().since(since, limit=limit)
-        return 200, {"since": since, "next": next_cursor, "spans": records}
-
-    @staticmethod
-    def _query_int(
-        query: Dict[str, Any], name: str, default: int, minimum: int
-    ) -> int:
-        values = query.get(name)
-        if not values:
-            return default
-        try:
-            number = int(values[0])
-        except (TypeError, ValueError):
-            raise ValueError(f"{name} must be an integer, got {values[0]!r}")
-        if number < minimum:
-            raise ValueError(f"{name} must be >= {minimum}, got {number}")
-        return number
+        log = _obs_event_log() if path == "/v1/events" else _obs_span_log()
+        return 200, log.page(*cursor_query(query))
 
     # ------------------------------------------------------------------
     # Shard execution

@@ -8,7 +8,8 @@ consume: a timestamp, a coarse *category* (``service``, ``kernel``,
 Two sinks, both always consistent:
 
 * an **in-memory ring buffer** with a monotonically increasing sequence
-  cursor — the backing store of the ``/v1/events?since=`` endpoint.
+  cursor — a :class:`CursorLog`, the ring every ``since`` stream of the
+  program shares, and the backing store of ``/v1/events?since=``.
   The cursor survives eviction (``since`` past the evicted prefix just
   returns the retained suffix), which makes polling clients trivial;
 * an optional **append-only JSONL journal** with size-capped rotation
@@ -31,11 +32,21 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Any, Deque, Dict, Generic, List, Optional, Tuple, TypeVar
 
 from .metrics import counter, is_enabled
 
-__all__ = ["Event", "EventLog", "RotatingJournal", "event_log", "emit"]
+__all__ = [
+    "CursorLog",
+    "Event",
+    "EventLog",
+    "RotatingJournal",
+    "event_log",
+    "emit",
+]
+
+T = TypeVar("T")
 
 
 class RotatingJournal:
@@ -157,13 +168,28 @@ class Event:
         )
 
 
-class EventLog:
-    """Ring buffer + optional rotating JSONL journal."""
+class CursorLog(Generic[T]):
+    """A bounded ring of records under one contiguous absolute sequence.
 
-    def __init__(self, capacity: int = 2048) -> None:
+    Every ``since`` stream of the program sits on this class: the event
+    log, the span log, an admission session's decision log, and the
+    fleet's merged copies of the first two.  Each appended record takes
+    the next sequence number (1, 2, 3, ...) and the ring keeps the
+    newest *capacity* of them.  Eviction and :meth:`clear` only ever
+    drop a prefix, so the retained seqs are always the contiguous run
+    ending at :attr:`last_seq`; :meth:`since` finds its page by offset
+    arithmetic on that run instead of comparing seqs.
+
+    The cursor survives eviction: ``since`` behind the evicted prefix
+    just returns the retained suffix, which makes polling clients
+    trivial.  An optional :class:`RotatingJournal` receives one JSON
+    line per record.
+    """
+
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self._ring: Deque[Event] = deque(maxlen=capacity)
+        self._ring: Deque[T] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._seq = 0
         self._journal: Optional[RotatingJournal] = None
@@ -178,7 +204,7 @@ class EventLog:
         max_bytes: int = 4 * 1024 * 1024,
         backups: int = 2,
     ) -> None:
-        """Start appending events to *path* with size-capped rotation.
+        """Start appending records to *path* with size-capped rotation.
 
         When the file exceeds *max_bytes* it is renamed to ``path.1``
         (existing backups shift up, the oldest past *backups* is
@@ -203,9 +229,91 @@ class EventLog:
             return None
         return journal.path
 
+    def _journal_line(self, item: T) -> str:
+        """One record as its journal line."""
+        return json.dumps(item, separators=(",", ":"), default=str)
+
     # ------------------------------------------------------------------
-    # Emission and reads
+    # Appends and reads
     # ------------------------------------------------------------------
+
+    def append(self, item: T) -> int:
+        """Append one record; returns the sequence number it took."""
+        with self._lock:
+            self._seq += 1
+            self._ring.append(item)
+            if self._journal is not None:
+                self._journal.write_line(self._journal_line(item))
+            return self._seq
+
+    def since(self, cursor: int = 0, limit: int = 500) -> Tuple[List[T], int]:
+        """Records with ``seq > cursor`` (oldest first) and the next cursor.
+
+        The next cursor is the seq of the last record returned, or
+        :attr:`last_seq` when the page is empty, so a poller parked at
+        (or past) the tail stays there.  The copy walks in from
+        whichever end of the ring is nearer the page, so a tail page —
+        the polling case — costs its own length, not the ring's.
+        """
+        with self._lock:
+            size = len(self._ring)
+            first = self._seq - size + 1  # seq of the oldest retained record
+            start = max(cursor + 1, first) - first
+            stop = min(size, start + limit)
+            if start >= stop:
+                return [], self._seq
+            if start <= size - stop:
+                items = list(islice(self._ring, start, stop))
+            else:
+                items = list(
+                    islice(reversed(self._ring), size - stop, size - start)
+                )
+                items.reverse()
+            return items, first + stop - 1
+
+    @property
+    def last_seq(self) -> int:
+        return self._seq
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._ring)
+
+    def clear(self) -> None:
+        """Drop every retained record (the cursor keeps advancing; tests)."""
+        with self._lock:
+            self._ring.clear()
+
+
+class EventLog(CursorLog[Event]):
+    """The structured-event stream: :class:`Event` records on a cursor log."""
+
+    def __init__(self, capacity: int = 2048) -> None:
+        super().__init__(capacity)
+
+    def _journal_line(self, item: Event) -> str:
+        return json.dumps(item.to_dict(), separators=(",", ":"))
+
+    def _add(
+        self,
+        ts: Optional[float],
+        category: str,
+        name: str,
+        payload: Dict[str, Any],
+    ) -> Event:
+        with self._lock:
+            self._seq += 1
+            event = Event(
+                self._seq,
+                time.time() if ts is None else ts,
+                category,
+                name,
+                payload,
+            )
+            self._ring.append(event)
+            if self._journal is not None:
+                self._journal.write_line(self._journal_line(event))
+        return event
 
     def emit(
         self, category: str, name: str, /, **payload: Any
@@ -217,20 +325,7 @@ class EventLog:
         """
         if not is_enabled():
             return None
-        with self._lock:
-            self._seq += 1
-            event = Event(
-                seq=self._seq,
-                ts=time.time(),
-                category=category,
-                name=name,
-                payload=payload,
-            )
-            self._ring.append(event)
-            if self._journal is not None:
-                self._journal.write_line(
-                    json.dumps(event.to_dict(), separators=(",", ":"))
-                )
+        event = self._add(None, category, name, payload)
         _EVENTS_TOTAL.labels(category).inc()
         return event
 
@@ -250,46 +345,21 @@ class EventLog:
         payload = dict(document.get("payload") or {})
         if worker:
             payload.setdefault("worker", worker)
-        with self._lock:
-            self._seq += 1
-            event = Event(
-                seq=self._seq,
-                ts=float(document.get("ts") or time.time()),
-                category=str(document.get("category", "")),
-                name=str(document.get("name", "")),
-                payload=payload,
-            )
-            self._ring.append(event)
-            if self._journal is not None:
-                self._journal.write_line(
-                    json.dumps(event.to_dict(), separators=(",", ":"))
-                )
-        return event
+        return self._add(
+            float(document.get("ts") or time.time()),
+            str(document.get("category", "")),
+            str(document.get("name", "")),
+            payload,
+        )
 
-    def since(self, cursor: int = 0, limit: int = 500) -> Tuple[List[Event], int]:
-        """Events with ``seq > cursor`` (oldest first) and the next cursor.
-
-        The next cursor is always the newest sequence number seen by the
-        log, so a poller that fell behind the ring resumes at the tail
-        instead of spinning over evicted history.
-        """
-        with self._lock:
-            events = [e for e in self._ring if e.seq > cursor][: max(0, limit)]
-            next_cursor = events[-1].seq if events else self._seq
-        return events, next_cursor
-
-    @property
-    def last_seq(self) -> int:
-        return self._seq
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._ring)
-
-    def clear(self) -> None:
-        """Drop buffered events (the cursor keeps advancing; tests)."""
-        with self._lock:
-            self._ring.clear()
+    def page(self, cursor: int = 0, limit: int = 500) -> Dict[str, Any]:
+        """One ``/v1/events`` cursor page: ``{"since", "next", "events"}``."""
+        events, next_cursor = self.since(cursor, limit)
+        return {
+            "since": cursor,
+            "next": next_cursor,
+            "events": [event.to_dict() for event in events],
+        }
 
 
 _LOG = EventLog()

@@ -1,8 +1,19 @@
-"""Trace identity, span export, and cross-process telemetry merging.
+"""Tracing spans, trace identity, span export, and telemetry merging.
 
-This is the layer that makes :mod:`repro.obs.tracing` spans *mean*
-something outside the process that opened them:
-
+* **Spans** — ``span("engine.analyze", test="qpa")`` opens a scope
+  whose duration lands in the ``repro_span_seconds{span=...}``
+  histogram.  Nesting is tracked through a :mod:`contextvars`
+  variable, so a span opened inside a worker thread or an asyncio task
+  sees the right parent: the canonical chain here is
+  ``engine.analyze`` → ``kernel.qpa`` → ``backend.analyze_many``,
+  crossing the engine → kernel-primitive → backend-dispatch
+  boundaries.  Span *events* (category ``trace``) carry the full
+  structure — name, parent, depth, duration, attributes — but are
+  **off by default**: the histogram costs two ``perf_counter`` reads
+  and one observe, which the hot paths tolerate, while a per-span event
+  emission would not.  Flip :func:`set_span_events` (or pass
+  ``emit_event=True`` per span) when the narrative matters more than
+  the nanoseconds.
 * **Identity** — W3C-traceparent-style hex ids (``trace_id`` 16 bytes,
   ``span_id`` 8 bytes) formatted as ``00-<trace>-<span>-01`` headers, so
   a CLI invocation, an HTTP request, a queued job, and a multiprocessing
@@ -13,9 +24,9 @@ something outside the process that opened them:
   server resumes the client's trace and how a pool worker resumes the
   batch's.
 * **Export** — finished spans land in the process-global
-  :class:`SpanLog`: a ring buffer (the ``/v1/traces`` backing store)
-  plus an optional rotating JSONL journal reusing
-  :class:`repro.obs.events.RotatingJournal`.
+  :class:`SpanLog`: a :class:`repro.obs.events.CursorLog` (the
+  ``/v1/traces`` backing store) with its optional rotating JSONL
+  journal.
 * **Merge** — :func:`capture_worker_baseline` /
   :func:`collect_worker_telemetry` / :func:`merge_worker_telemetry` are
   the worker-to-parent merge primitive the ROADMAP's fleet coordinator
@@ -31,15 +42,13 @@ something outside the process that opened them:
 from __future__ import annotations
 
 import contextvars
-import json
 import os
 import random
 import threading
-from collections import deque
+import time
 from contextlib import contextmanager
 from typing import (
     Any,
-    Deque,
     Dict,
     Iterator,
     List,
@@ -47,10 +56,21 @@ from typing import (
     Tuple,
 )
 
-from .events import RotatingJournal, event_log
-from .metrics import is_enabled, registry, state_delta
+from .events import CursorLog, emit, event_log
+from .metrics import (
+    DEFAULT_BUCKETS,
+    histogram,
+    is_enabled,
+    registry,
+    state_delta,
+)
 
 __all__ = [
+    "span",
+    "current_span",
+    "current_traceparent",
+    "SpanHandle",
+    "set_span_events",
     "new_trace_id",
     "new_span_id",
     "format_traceparent",
@@ -205,54 +225,17 @@ def set_span_export(flag: bool) -> bool:
     return previous
 
 
-class SpanLog:
-    """Ring buffer of finished-span records + optional JSONL journal.
+class SpanLog(CursorLog[Dict[str, Any]]):
+    """Cursor log of finished-span records + optional JSONL journal.
 
     Records are plain dicts (``trace_id``/``span_id``/``parent_id``/
     ``name``/``start``/``duration``/``attrs`` plus a log-assigned
     ``seq``) so they serialize to workers and journals without a
-    codec.  The same absolute-cursor discipline as
-    :class:`repro.obs.events.EventLog` applies: ``since`` survives ring
-    eviction and makes delta collection trivial.
+    codec.
     """
 
     def __init__(self, capacity: int = 8192) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self._ring: Deque[Dict[str, Any]] = deque(maxlen=capacity)
-        self._lock = threading.Lock()
-        self._seq = 0
-        self._journal: Optional[RotatingJournal] = None
-
-    # -- journal ------------------------------------------------------
-
-    def attach_journal(
-        self,
-        path: str,
-        max_bytes: int = 4 * 1024 * 1024,
-        backups: int = 2,
-    ) -> None:
-        """Append finished spans to *path* with size-capped rotation."""
-        journal = RotatingJournal(path, max_bytes=max_bytes, backups=backups)
-        with self._lock:
-            if self._journal is not None:
-                self._journal.close()
-            self._journal = journal
-
-    def detach_journal(self) -> None:
-        with self._lock:
-            if self._journal is not None:
-                self._journal.close()
-            self._journal = None
-
-    @property
-    def journal_path(self) -> Optional[str]:
-        journal = self._journal
-        if journal is None or journal.closed:
-            return None
-        return journal.path
-
-    # -- writes -------------------------------------------------------
+        super().__init__(capacity)
 
     def record(self, record: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         """Append one finished-span record; assigns the sequence number."""
@@ -263,9 +246,7 @@ class SpanLog:
             record["seq"] = self._seq
             self._ring.append(record)
             if self._journal is not None:
-                self._journal.write_line(
-                    json.dumps(record, separators=(",", ":"), default=str)
-                )
+                self._journal.write_line(self._journal_line(record))
         return record
 
     def ingest(
@@ -284,18 +265,10 @@ class SpanLog:
         document["attrs"] = attrs
         return self.record(document)
 
-    # -- reads --------------------------------------------------------
-
-    def since(
-        self, cursor: int = 0, limit: int = 500
-    ) -> Tuple[List[Dict[str, Any]], int]:
-        """Records with ``seq > cursor`` (oldest first) + next cursor."""
-        with self._lock:
-            records = [r for r in self._ring if r["seq"] > cursor][
-                : max(0, limit)
-            ]
-            next_cursor = records[-1]["seq"] if records else self._seq
-        return records, next_cursor
+    def page(self, cursor: int = 0, limit: int = 500) -> Dict[str, Any]:
+        """One ``/v1/traces?since=`` page: ``{"since", "next", "spans"}``."""
+        records, next_cursor = self.since(cursor, limit)
+        return {"since": cursor, "next": next_cursor, "spans": records}
 
     def for_trace(self, trace_id: str) -> List[Dict[str, Any]]:
         """Every retained span of one trace, oldest first."""
@@ -341,19 +314,6 @@ class SpanLog:
         )
         return ordered[: max(0, limit)]
 
-    @property
-    def last_seq(self) -> int:
-        return self._seq
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._ring)
-
-    def clear(self) -> None:
-        """Drop buffered spans (the cursor keeps advancing; tests)."""
-        with self._lock:
-            self._ring.clear()
-
 
 _LOG = SpanLog()
 
@@ -361,6 +321,164 @@ _LOG = SpanLog()
 def span_log() -> SpanLog:
     """The process-global span log."""
     return _LOG
+
+
+# ----------------------------------------------------------------------
+# Spans
+# ----------------------------------------------------------------------
+
+_SPAN_SECONDS = histogram(
+    "repro_span_seconds",
+    "Wall time spent inside traced scopes, by span name.",
+    labelnames=("span",),
+    buckets=DEFAULT_BUCKETS,
+)
+
+_CURRENT: contextvars.ContextVar[Optional["SpanHandle"]] = contextvars.ContextVar(
+    "repro_obs_span", default=None
+)
+
+_EMIT_EVENTS = False
+
+
+def set_span_events(flag: bool) -> bool:
+    """Globally toggle per-span trace events; returns the prior state."""
+    global _EMIT_EVENTS
+    previous = _EMIT_EVENTS
+    _EMIT_EVENTS = bool(flag)
+    return previous
+
+
+class SpanHandle:
+    """The live scope a ``with span(...)`` block exposes.
+
+    Every handle carries trace identity: the ``trace_id`` is inherited
+    from the local parent span, else from a remote parent installed by
+    :func:`continue_trace`, else freshly originated — one trace per CLI
+    invocation / HTTP request / detached job.
+    """
+
+    __slots__ = (
+        "name",
+        "attrs",
+        "parent",
+        "depth",
+        "duration",
+        "trace_id",
+        "span_id",
+        "parent_id",
+        "start_ts",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        attrs: Dict[str, Any],
+        parent: Optional["SpanHandle"],
+    ) -> None:
+        self.name = name
+        self.attrs = attrs
+        self.parent = parent
+        self.depth = 0 if parent is None else parent.depth + 1
+        self.duration: Optional[float] = None
+        if parent is not None:
+            self.trace_id = parent.trace_id
+            self.parent_id: Optional[str] = parent.span_id
+        else:
+            remote = remote_parent()
+            if remote is not None:
+                self.trace_id, self.parent_id = remote
+            else:
+                self.trace_id = new_trace_id()
+                self.parent_id = None
+        self.span_id = new_span_id()
+        self.start_ts = time.time()
+
+    @property
+    def traceparent(self) -> str:
+        """The header value that continues this span's trace elsewhere."""
+        return format_traceparent(self.trace_id, self.span_id)
+
+
+def current_span() -> Optional[SpanHandle]:
+    """The innermost open span of the calling context, if any."""
+    return _CURRENT.get()
+
+
+def current_traceparent() -> Optional[str]:
+    """The traceparent header for the calling context, if any.
+
+    Prefers the innermost open span; falls back to a remote parent
+    installed by :func:`continue_trace`.  ``None`` means no trace is
+    active — callers originate one if they need it.
+    """
+    handle = _CURRENT.get()
+    if handle is not None:
+        return handle.traceparent
+    remote = remote_parent()
+    if remote is not None:
+        return format_traceparent(*remote)
+    return None
+
+
+# Cache the histogram children: span names are a small closed set and
+# the labels() dict hit is the only per-span lookup we allow.
+_CHILDREN: Dict[str, Any] = {}
+
+
+def _child(name: str):
+    child = _CHILDREN.get(name)
+    if child is None:
+        child = _SPAN_SECONDS.labels(name)
+        _CHILDREN[name] = child
+    return child
+
+
+@contextmanager
+def span(
+    name: str, emit_event: Optional[bool] = None, **attrs: Any
+) -> Iterator[Optional[SpanHandle]]:
+    """Time a scope into ``repro_span_seconds`` and propagate nesting.
+
+    Yields the open :class:`SpanHandle` (or ``None`` when observability
+    is disabled — callers must not rely on the handle).  Duration is
+    recorded on *every* exit, exceptional or not: a crashing analysis
+    still spends the time.
+    """
+    if not is_enabled():
+        yield None
+        return
+    handle = SpanHandle(name, attrs, _CURRENT.get())
+    token = _CURRENT.set(handle)
+    start = time.perf_counter()
+    try:
+        yield handle
+    finally:
+        duration = time.perf_counter() - start
+        handle.duration = duration
+        _CURRENT.reset(token)
+        _child(name).observe(duration)
+        if is_export_enabled():
+            span_log().record(
+                {
+                    "trace_id": handle.trace_id,
+                    "span_id": handle.span_id,
+                    "parent_id": handle.parent_id,
+                    "name": name,
+                    "start": handle.start_ts,
+                    "duration": duration,
+                    "attrs": attrs,
+                }
+            )
+        if _EMIT_EVENTS if emit_event is None else emit_event:
+            emit(
+                "trace",
+                name,
+                duration_seconds=duration,
+                parent=handle.parent.name if handle.parent else None,
+                depth=handle.depth,
+                **attrs,
+            )
 
 
 # ----------------------------------------------------------------------
@@ -412,16 +530,11 @@ def merge_worker_telemetry(telemetry: Optional[Dict[str, Any]]) -> None:
     metrics_state = telemetry.get("metrics")
     if isinstance(metrics_state, dict):
         registry().merge_state(metrics_state)
-    log = event_log()
-    events = telemetry.get("events")
-    for document in events if isinstance(events, (list, tuple)) else ():
-        if isinstance(document, dict):
-            log.ingest(document, worker=worker)
-    spans = span_log()
-    records = telemetry.get("spans")
-    for record in records if isinstance(records, (list, tuple)) else ():
-        if isinstance(record, dict):
-            spans.ingest(record, worker=worker)
+    for key, log in (("events", event_log()), ("spans", span_log())):
+        records = telemetry.get(key)
+        for record in records if isinstance(records, (list, tuple)) else ():
+            if isinstance(record, dict):
+                log.ingest(record, worker=worker)
 
 
 # ----------------------------------------------------------------------

@@ -75,6 +75,7 @@ from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
+from urllib.parse import parse_qs, urlsplit
 
 from .. import __version__
 from ..engine.batch import AnalysisRequest, BatchRunner
@@ -99,7 +100,13 @@ from .store import ResultStore
 if False:  # pragma: no cover - import cycle guard (typing only)
     from ..fleet.coordinator import Coordinator
 
-__all__ = ["AnalysisServer", "ApiError", "requests_from_document"]
+__all__ = [
+    "AnalysisServer",
+    "ApiError",
+    "JsonRequestHandler",
+    "cursor_query",
+    "requests_from_document",
+]
 
 _MAX_BODY = 64 * 1024 * 1024  # a 64 MiB body is an attack, not a campaign
 #: Server-side ceiling on events/traces page sizes: a huge ``limit``
@@ -218,25 +225,63 @@ def requests_from_document(
     return requests
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes requests to the owning :class:`AnalysisServer`."""
+def cursor_query(
+    query: Dict[str, List[str]], default_limit: int = 500
+) -> Tuple[int, int]:
+    """``(since, limit)`` of a cursor page's ``?since=&limit=`` query.
 
-    server_version = f"repro-edf/{__version__}"
+    The one parser behind every ``since`` stream of both HTTP servers
+    (the analysis server and the fleet worker).  *query* is a
+    :func:`~urllib.parse.parse_qs` mapping.  ``since`` defaults to 0
+    and ``limit`` to *default_limit*; a malformed or out-of-range value
+    is a 400.  A client ``limit`` above :data:`_MAX_PAGE_LIMIT` is
+    clamped rather than refused: the cursor protocol keeps the client
+    correct either way, the server just pages.
+    """
+
+    def param(key: str, minimum: int) -> int:
+        try:
+            value = int(query[key][0])
+            if value < minimum:
+                raise ValueError
+        except ValueError:
+            raise ApiError(
+                400, f"'{key}' must be an integer >= {minimum}"
+            ) from None
+        return value
+
+    since = param("since", 0) if "since" in query else 0
+    if "limit" not in query:
+        return since, default_limit
+    return since, min(param("limit", 1), _MAX_PAGE_LIMIT)
+
+
+class JsonRequestHandler(BaseHTTPRequestHandler):
+    """The request handler both HTTP servers build on.
+
+    Owns response encoding, the capped request-body reader, and the
+    error mapping: an :class:`ApiError` becomes its status with an
+    ``error`` document, any other exception a 500, and a request
+    :meth:`dispatch` does not route a 404.  Subclasses implement
+    :meth:`dispatch` and add a ``do_<METHOD>`` per method they serve.
+    """
+
     protocol_version = "HTTP/1.1"
-
-    # ------------------------------------------------------------------
+    #: ``json.dumps`` indent of response bodies; ``None`` is compact.
+    json_indent: Optional[int] = 2
 
     def log_message(self, format: str, *args: Any) -> None:
         if not getattr(self.server, "quiet", True):  # pragma: no cover
             super().log_message(format, *args)
 
+    @property
+    def query(self) -> Dict[str, List[str]]:
+        """The request's parsed query string."""
+        return parse_qs(urlsplit(self.path).query)
+
     def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload, indent=2).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        body = json.dumps(payload, indent=self.json_indent, default=str)
+        self._send_text(status, body, content_type="application/json")
 
     def _send_text(
         self, status: int, body: str, content_type: str = "text/plain"
@@ -249,10 +294,20 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(data)
 
     def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        raw_length = self.headers.get("Content-Length", 0) or 0
+        try:
+            length = int(raw_length)
+        except ValueError:
+            # The body's extent is unknown: it cannot be skipped, so the
+            # connection cannot carry another request.
+            self.close_connection = True
+            raise ApiError(
+                400, f"malformed Content-Length {raw_length!r}"
+            ) from None
         if length <= 0:
             raise ApiError(400, "a JSON request body is required")
         if length > _MAX_BODY:
+            self.close_connection = True  # the unread body stays unread
             raise ApiError(413, "request body too large")
         raw = self.rfile.read(length)
         try:
@@ -260,11 +315,14 @@ class _Handler(BaseHTTPRequestHandler):
         except (UnicodeDecodeError, ValueError) as err:
             raise ApiError(400, f"invalid JSON body: {err}") from None
 
+    def dispatch(self, method: str, path: str) -> bool:
+        """Serve one request; ``False`` when no endpoint matches."""
+        raise NotImplementedError
+
     def _route(self, method: str) -> None:
-        service: "AnalysisServer" = self.server.service  # type: ignore[attr-defined]
         path = self.path.split("?", 1)[0].rstrip("/")
         try:
-            handled = service.handle(self, method, path)
+            handled = self.dispatch(method, path)
         except ApiError as err:
             self._send_json(err.status, {"error": str(err)})
             return
@@ -281,6 +339,16 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         self._route("POST")
+
+
+class _Handler(JsonRequestHandler):
+    """Routes requests to the owning :class:`AnalysisServer`."""
+
+    server_version = f"repro-edf/{__version__}"
+
+    def dispatch(self, method: str, path: str) -> bool:
+        service: "AnalysisServer" = self.server.service  # type: ignore[attr-defined]
+        return service.handle(self, method, path)
 
     def do_DELETE(self) -> None:  # noqa: N802 - http.server API
         self._route("DELETE")
@@ -369,14 +437,12 @@ class AnalysisServer:
         self._sampler: Optional[ResourceSampler] = None
         if sampler_interval is not None:
             self._sampler = ResourceSampler(interval=sampler_interval).start()
-        self._journal_attached = False
-        if journal is not None:
-            event_log().attach_journal(str(journal))
-            self._journal_attached = True
-        self._span_journal_attached = False
-        if span_journal is not None:
-            span_log().attach_journal(str(span_journal))
-            self._span_journal_attached = True
+        #: The cursor logs this server attached a journal to.
+        self._journaled: List[Any] = []
+        for log, path in ((event_log(), journal), (span_log(), span_journal)):
+            if path is not None:
+                log.attach_journal(str(path))
+                self._journaled.append(log)
 
     # ------------------------------------------------------------------
 
@@ -413,12 +479,9 @@ class AnalysisServer:
         if self._sampler is not None:
             self._sampler.stop()
             self._sampler = None
-        if self._journal_attached:
-            event_log().detach_journal()
-            self._journal_attached = False
-        if self._span_journal_attached:
-            span_log().detach_journal()
-            self._span_journal_attached = False
+        for log in self._journaled:
+            log.detach_journal()
+        self._journaled = []
         self.httpd.shutdown()
         self.httpd.server_close()
         if self._thread is not None:
@@ -467,27 +530,21 @@ class AnalysisServer:
             self._send_metrics(handler)
             return True
         if method == "GET" and path == "/v1/events":
-            handler._send_json(200, self._events_page(handler.path))
+            page = event_log().page(*cursor_query(handler.query))
+            handler._send_json(200, page)
             return True
         if method == "GET" and path == "/v1/traces":
-            handler._send_json(200, self._traces_page(handler.path))
+            handler._send_json(200, self._traces_page(handler.query))
             return True
         if method == "GET" and path == "/v1/fleet/metrics":
             self._send_fleet_metrics(handler)
             return True
-        if method == "GET" and path == "/v1/fleet/events":
+        if method == "GET" and path in ("/v1/fleet/events", "/v1/fleet/traces"):
             self._require_fleet()
-            page = self._cursor_page(handler.path)
-            handler._send_json(
-                200, self.coordinator.telemetry.events_page(**page)
-            )
-            return True
-        if method == "GET" and path == "/v1/fleet/traces":
-            self._require_fleet()
-            page = self._cursor_page(handler.path)
-            handler._send_json(
-                200, self.coordinator.telemetry.spans_page(**page)
-            )
+            telemetry = self.coordinator.telemetry
+            log = telemetry.spans if path.endswith("traces") else telemetry.events
+            page = log.page(*cursor_query(handler.query))
+            handler._send_json(200, page)
             return True
         if method == "GET" and path.startswith("/v1/traces/"):
             trace_id = path[len("/v1/traces/") :]
@@ -583,7 +640,7 @@ class AnalysisServer:
                     and method == "GET"
                 ):
                     handler._send_json(
-                        200, self._decision_log(session_id, handler.path)
+                        200, self._decision_log(session_id, handler.query)
                     )
                     return True
             except KeyError:
@@ -605,12 +662,9 @@ class AnalysisServer:
             )
 
     def _send_fleet_metrics(self, handler: _Handler) -> None:
-        from urllib.parse import parse_qs, urlsplit
-
         self._require_fleet()
         inflight = self.coordinator.inflight_counts()
-        query = parse_qs(urlsplit(handler.path).query)
-        fmt = (query.get("format") or ["text"])[0]
+        fmt = (handler.query.get("format") or ["text"])[0]
         if fmt == "json":
             handler._send_json(
                 200,
@@ -624,30 +678,6 @@ class AnalysisServer:
             self.coordinator.telemetry.exposition(inflight),
             content_type="text/plain; version=0.0.4; charset=utf-8",
         )
-
-    def _cursor_page(self, raw_path: str) -> Dict[str, int]:
-        """Parse ``?since=&limit=`` into kwargs for a cursor-page call."""
-        from urllib.parse import parse_qs, urlsplit
-
-        query = parse_qs(urlsplit(raw_path).query)
-
-        def _int_param(key: str, default: int, minimum: int) -> int:
-            if key not in query:
-                return default
-            try:
-                value = int(query[key][0])
-                if value < minimum:
-                    raise ValueError
-            except ValueError:
-                raise ApiError(
-                    400, f"'{key}' must be an integer >= {minimum}"
-                ) from None
-            return value
-
-        return {
-            "since": _int_param("since", 0, 0),
-            "limit": min(_int_param("limit", 500, 1), _MAX_PAGE_LIMIT),
-        }
 
     def _handle_fleet(
         self, handler: _Handler, method: str, path: str
@@ -781,24 +811,14 @@ class AnalysisServer:
                 ) from None
         return {"session": session.id, "decisions": decisions}
 
-    def _decision_log(self, session_id: str, raw_path: str) -> Dict[str, Any]:
-        from urllib.parse import parse_qs, urlsplit
-
+    def _decision_log(
+        self, session_id: str, query: Dict[str, List[str]]
+    ) -> Dict[str, Any]:
         session = self.sessions.get(session_id)
-        query = parse_qs(urlsplit(raw_path).query)
-        since = 0
-        if "since" in query:
-            try:
-                since = int(query["since"][0])
-                if since < 0:
-                    raise ValueError
-            except ValueError:
-                raise ApiError(
-                    400, "'since' must be a non-negative integer"
-                ) from None
-        decisions = session.log(since)
+        since, limit = cursor_query(query, default_limit=session.max_log)
+        decisions, _ = session.decisions.since(since, limit)
         # 'next' is the absolute cursor for the following poll; indices
-        # are absolute and survive log pruning, so derive it from the
+        # are absolute and survive log eviction, so derive it from the
         # last returned decision rather than from page length.
         next_cursor = decisions[-1]["index"] + 1 if decisions else since
         return {
@@ -809,10 +829,7 @@ class AnalysisServer:
         }
 
     def _send_metrics(self, handler: _Handler) -> None:
-        from urllib.parse import parse_qs, urlsplit
-
-        query = parse_qs(urlsplit(handler.path).query)
-        fmt = (query.get("format") or ["text"])[0]
+        fmt = (handler.query.get("format") or ["text"])[0]
         if fmt == "json":
             handler._send_json(200, {"metrics": _obs_registry().snapshot()})
             return
@@ -829,58 +846,13 @@ class AnalysisServer:
             content_type="text/plain; version=0.0.4; charset=utf-8",
         )
 
-    def _events_page(self, raw_path: str) -> Dict[str, Any]:
-        from urllib.parse import parse_qs, urlsplit
-
-        query = parse_qs(urlsplit(raw_path).query)
-
-        def _int_param(key: str, default: int, minimum: int) -> int:
-            if key not in query:
-                return default
-            try:
-                value = int(query[key][0])
-                if value < minimum:
-                    raise ValueError
-            except ValueError:
-                raise ApiError(
-                    400, f"'{key}' must be an integer >= {minimum}"
-                ) from None
-            return value
-
-        since = _int_param("since", 0, 0)
-        # Clamp rather than 400 on a huge limit: the cursor protocol
-        # keeps the client correct either way, the server just pages.
-        limit = min(_int_param("limit", 500, 1), _MAX_PAGE_LIMIT)
-        events, next_cursor = event_log().since(since, limit=limit)
-        return {
-            "since": since,
-            "next": next_cursor,
-            "events": [event.to_dict() for event in events],
-        }
-
-    def _traces_page(self, raw_path: str) -> Dict[str, Any]:
-        from urllib.parse import parse_qs, urlsplit
-
-        query = parse_qs(urlsplit(raw_path).query)
+    @staticmethod
+    def _traces_page(query: Dict[str, List[str]]) -> Dict[str, Any]:
         if "since" in query:
             # Cursor mode (what a fleet scraper pulls): raw span records
             # from an absolute sequence cursor, oldest first.
-            page = self._cursor_page(raw_path)
-            records, next_cursor = span_log().since(
-                page["since"], limit=page["limit"]
-            )
-            return {"since": page["since"], "next": next_cursor, "spans": records}
-        limit = 50
-        if "limit" in query:
-            try:
-                limit = int(query["limit"][0])
-                if limit < 1:
-                    raise ValueError
-            except ValueError:
-                raise ApiError(
-                    400, "'limit' must be an integer >= 1"
-                ) from None
-        limit = min(limit, _MAX_PAGE_LIMIT)
+            return span_log().page(*cursor_query(query))
+        _, limit = cursor_query(query, default_limit=50)
         return {"traces": span_log().trace_summaries(limit=limit)}
 
     def cache_stats(self) -> Dict[str, Any]:

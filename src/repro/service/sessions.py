@@ -28,6 +28,7 @@ from ..model.validation import ModelError
 from ..obs import counter as _obs_counter
 from ..obs import emit as _obs_emit
 from ..obs import gauge as _obs_gauge
+from ..obs.events import CursorLog
 from ..online.controller import AdmissionController, AdmissionDecision
 from ..online.trace import ARRIVE, ArrivalEvent
 
@@ -83,12 +84,13 @@ def decision_to_dict(decision: AdmissionDecision) -> Dict[str, Any]:
 class AdmissionSession:
     """One live controller plus its decision log.
 
-    The log is capped (*max_log*): the oldest half is pruned when the
-    cap is hit, so a session streamed for days stays bounded.  Decision
-    ``index`` values are absolute and survive pruning — a client
-    polling with the ``since`` cursor at the stream's tail never
-    notices; only a cursor that fell behind the retained window loses
-    the pruned prefix.
+    The log keeps the newest *max_log* decisions on a
+    :class:`~repro.obs.events.CursorLog`, so a session streamed for days
+    stays bounded.  A decision's ``index`` is its log sequence number
+    minus one: absolute, and unchanged by eviction — a client polling
+    with the ``since`` cursor at the stream's tail never notices; only a
+    cursor that fell behind the retained window loses the evicted
+    prefix.
     """
 
     def __init__(
@@ -106,9 +108,7 @@ class AdmissionSession:
         self.created_at = time.time()
         self.max_log = max_log
         self.lock = threading.Lock()
-        self.decisions: List[Dict[str, Any]] = []
-        #: Absolute index of ``decisions[0]`` (grows as the log prunes).
-        self.log_base = 0
+        self.decisions: CursorLog[Dict[str, Any]] = CursorLog(capacity=max_log)
 
     def apply(self, event: ArrivalEvent) -> Dict[str, Any]:
         """Apply one event; returns its indexed decision document."""
@@ -118,22 +118,17 @@ class AdmissionSession:
             else:
                 decision = self.controller.remove(event.name, strict=False)
             document = decision_to_dict(decision)
-            document["index"] = self.log_base + len(self.decisions)
+            document["index"] = self.decisions.last_seq
             document["time"] = encode_value(event.time)
             self.decisions.append(document)
-            if len(self.decisions) > self.max_log:
-                drop = len(self.decisions) // 2
-                del self.decisions[:drop]
-                self.log_base += drop
             return document
 
     def log(self, since: int = 0) -> List[Dict[str, Any]]:
         """Decision documents from absolute index *since* (the poll
-        'stream'); entries pruned below the retained window are gone."""
+        'stream'); entries evicted below the retained window are gone."""
         if since < 0:
             raise ValueError(f"'since' must be >= 0, got {since}")
-        with self.lock:
-            return list(self.decisions[max(0, since - self.log_base) :])
+        return self.decisions.since(since, limit=self.max_log)[0]
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-ready session status."""
@@ -143,8 +138,10 @@ class AdmissionSession:
                 "session": self.id,
                 "name": self.name,
                 "created_at": self.created_at,
-                "decisions": self.log_base + len(self.decisions),
-                "log_retained_from": self.log_base,
+                "decisions": self.decisions.last_seq,
+                "log_retained_from": (
+                    self.decisions.last_seq - len(self.decisions)
+                ),
                 **stats,
             }
 
